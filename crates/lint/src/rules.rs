@@ -123,9 +123,9 @@ pub static RULES: &[Rule] = &[
         summary: "direct Recommender calls in serve code outside the candidate pipeline",
         message: "direct recommender call bypasses the candidate pipeline's provenance, \
                   merge, and filter stages",
-        fix_hint: "route the request through the pipeline stages (sources \u{2192} merge \u{2192} \
-                   filters \u{2192} rank) so every answer carries provenance; allowlist only \
-                   the degraded fallback walk",
+        fix_hint: "emit through a CandidateSource in src/pipeline/ and call it via the engine's \
+                   guarded slot call, so the answer carries provenance and the fault \
+                   envelope; fallback tiers use the slot's exact source at pool = k",
         scope: "crates/serve/src/** except src/pipeline/** (cfg(test) exempt)",
         test_exempt: true,
         applies: |p| {
@@ -227,10 +227,12 @@ static EXPLAIN: &[(&str, &str, &str)] = &[
         "recommender-call-outside-pipeline",
         "Every served answer must carry provenance (which source, which stage, why). A direct \
          model.recommend() in serve code skips the sources → merge → filters → rank pipeline, \
-         producing unexplainable answers; only the degraded fallback walk is allowlisted.",
+         producing unexplainable answers. Models are called only by the candidate sources in \
+         src/pipeline/; even the fallback tiers serve through a slot's exact source, so the rule \
+         has no allowlisted exception.",
         "error[recommender-call-outside-pipeline]: direct recommender call bypasses the \
          candidate pipeline's provenance, merge, and filter stages\n  --> \
-         crates/serve/src/engine.rs:1736:32",
+         crates/serve/src/engine.rs:1320:28",
     ),
     (
         "unbounded-channel-or-vec-queue-in-serve",
@@ -658,7 +660,7 @@ pub(crate) fn check_float_accum(t: &[Token]) -> Vec<usize> {
 
 /// Rule 7: `. recommend|recommend_batch|recommend_batch_into|rank_all (`
 /// — direct model invocations on the serving path must live inside the
-/// pipeline modules (or the allowlisted degraded fallback walk).
+/// pipeline modules.
 fn check_recommender_call(t: &[Token]) -> Vec<usize> {
     let mut out = Vec::new();
     for i in 0..t.len() {

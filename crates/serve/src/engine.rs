@@ -8,11 +8,12 @@
 //! candidate pools, the pools are merged and filtered, and the primary
 //! source's model re-scores the survivors down to top-k. Users the
 //! pipeline could not serve — every source degraded, breaker-open,
-//! panicking, or simply empty-handed — fall back to the legacy chain
-//! walk (default BPR → Closest Items → Most Read Items → Random Items),
-//! served by the first remaining slot that is healthy **and** returns a
-//! non-empty list. A slot degrades — without failing the load — when
-//! its artifact is missing, truncated, checksum-corrupted, or
+//! panicking, or simply empty-handed — fall to the fallback tiers: each
+//! chain slot that did not run as a source (default BPR → Closest Items
+//! → Most Read Items → Random Items) gets one call to its exact source
+//! at `pool = k`, and the first slot that is healthy **and** emits a
+//! non-empty list answers. A slot degrades — without failing the load —
+//! when its artifact is missing, truncated, checksum-corrupted, or
 //! dimensionally incompatible with the training interactions; a healthy
 //! slot still falls through when it has nothing to say (e.g. Closest
 //! Items for a reader with no history).
@@ -24,7 +25,7 @@
 //! * an optional per-slot budget ([`EngineConfig::slot_budget`]) cuts
 //!   off slow slot calls — the answers are discarded, a timeout is
 //!   recorded, and the chain advances — while an optional whole-request
-//!   budget ([`EngineConfig::request_budget`]) stops the chain walk once
+//!   budget ([`EngineConfig::request_budget`]) stops calling slots once
 //!   a request's [`Deadline`] expires;
 //! * each slot carries a [`CircuitBreaker`]: repeated failures (panics,
 //!   timeouts, injected errors) open it and the slot is skipped without
@@ -55,7 +56,7 @@ use crate::pipeline::{
     merge_into, rank_pool_into, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres,
     Candidate, CandidateFilter, CandidateSource, CfNeighboursSource, ContentSimilarSource,
     Explanation, FallbackSource, FilterCtx, MostReadSource, PipelineConfig,
-    QuantCfNeighboursSource, Reason, SourceId,
+    QuantCfNeighboursSource, SourceId,
 };
 use crate::registry::{ArtifactRegistry, LoadedArtifacts};
 use rm_core::bpr::{Bpr, BprConfig};
@@ -146,8 +147,8 @@ pub struct EngineConfig {
     /// clock reads — entirely.
     pub slot_budget: Option<Duration>,
     /// Whole-request budget: each request carries a [`Deadline`] this
-    /// far in the future, and once it expires the chain walk stops (the
-    /// remaining requests answer empty, counted as deadline skips).
+    /// far in the future, and once it expires no further slot is called
+    /// (the remaining requests answer empty, counted as deadline skips).
     /// `None` disables the check.
     pub request_budget: Option<Duration>,
     /// Per-slot circuit-breaker configuration; `None` disables breakers.
@@ -163,7 +164,7 @@ pub struct EngineConfig {
     pub tracer: Arc<Tracer>,
     /// Candidate-pipeline configuration (sources, pool size, filters,
     /// genre lookup). The default derives a single source from the
-    /// chain's head, which reproduces the legacy chain bit-for-bit.
+    /// chain's head, which reproduces that model's top-k bit-for-bit.
     pub pipeline: PipelineConfig,
     /// Overload control: admission queue, CoDel shedding, and the
     /// brownout degradation ladder. `None` (the default) disables all
@@ -368,6 +369,16 @@ impl EngineConfigBuilder {
 }
 
 type CacheKey = (u32, usize, u64);
+
+/// How one guarded slot call ([`ServingEngine::guarded_emit`]) ended.
+enum SlotCall {
+    /// The request deadline had expired: nothing ran.
+    Expired,
+    /// Degraded, breaker-open, failed or too slow: its users fall through.
+    Skipped,
+    /// One emission per user, best first (an empty one falls through).
+    Emitted(Vec<Vec<Candidate>>),
+}
 
 /// One request processed off the admission queue by
 /// [`ServingEngine::serve_queued`].
@@ -982,78 +993,56 @@ impl ServingEngine {
         }
     }
 
-    /// Wraps `slot`'s loaded model as its pipeline candidate source
-    /// (`None` when the slot is degraded, mirroring [`Self::slot_model`]).
+    /// `slot`'s pipeline candidate source: the IVF- or quantization-
+    /// accelerated source when a validated artifact installed one, the
+    /// exact source otherwise (`None` when the slot is degraded).
     fn slot_source(&self, slot: ModelSlot) -> Option<Box<dyn CandidateSource + '_>> {
         let nprobe = self.config.pipeline.ann_nprobe;
+        let ann = self.ann.as_ref();
         match slot {
             ModelSlot::Bpr => {
-                self.bpr
-                    .as_ref()
-                    .map(|m| match self.ann.as_ref().and_then(|a| a.cf.as_ref()) {
-                        Some(idx) => {
-                            let src = AnnCfNeighboursSource::new(m, &self.train, idx, nprobe);
-                            match self.quant_cf_rows() {
-                                Some((qu, qi)) => {
-                                    Box::new(src.with_quant(qu, qi)) as Box<dyn CandidateSource>
-                                }
-                                None => Box::new(src) as Box<dyn CandidateSource>,
-                            }
-                        }
-                        None => match self.quant.as_ref().filter(|_| self.quant_cf_active) {
-                            Some(art) => Box::new(QuantCfNeighboursSource::new(art, &self.train))
-                                as Box<dyn CandidateSource>,
-                            None => {
-                                Box::new(CfNeighboursSource::new(m)) as Box<dyn CandidateSource>
-                            }
-                        },
-                    })
-            }
-            ModelSlot::ClosestItems => self.closest.as_ref().map(|m| {
-                match self.ann.as_ref().and_then(|a| a.content.as_ref()) {
-                    Some(idx) => {
-                        let src = AnnContentSimilarSource::new(m, &self.train, idx, nprobe);
-                        match self.quant_embedding_rows() {
-                            Some(qe) => Box::new(src.with_quant(qe)) as Box<dyn CandidateSource>,
-                            None => Box::new(src) as Box<dyn CandidateSource>,
-                        }
-                    }
-                    None => Box::new(ContentSimilarSource::new(m, &self.train))
-                        as Box<dyn CandidateSource>,
+                let bpr = self.bpr.as_ref()?;
+                if let Some(idx) = ann.and_then(|a| a.cf.as_ref()) {
+                    let src = AnnCfNeighboursSource::new(bpr, &self.train, idx, nprobe);
+                    return Some(match self.quant_cf_rows() {
+                        Some((qu, qi)) => Box::new(src.with_quant(qu, qi)),
+                        None => Box::new(src),
+                    });
                 }
-            }),
-            ModelSlot::MostRead => self
-                .most_read
-                .as_ref()
-                .map(|m| Box::new(MostReadSource::new(m)) as Box<dyn CandidateSource>),
-            ModelSlot::Random => Some(
-                Box::new(FallbackSource::new(ModelSlot::Random, &self.random))
-                    as Box<dyn CandidateSource>,
-            ),
+                if let Some(art) = self.quant.as_ref().filter(|_| self.quant_cf_active) {
+                    return Some(Box::new(QuantCfNeighboursSource::new(art, &self.train)));
+                }
+            }
+            ModelSlot::ClosestItems => {
+                let closest = self.closest.as_ref()?;
+                if let Some(idx) = ann.and_then(|a| a.content.as_ref()) {
+                    let src = AnnContentSimilarSource::new(closest, &self.train, idx, nprobe);
+                    return Some(match self.quant_embedding_rows() {
+                        Some(qe) => Box::new(src.with_quant(qe)),
+                        None => Box::new(src),
+                    });
+                }
+            }
+            ModelSlot::MostRead | ModelSlot::Random => {}
         }
+        self.exact_source(slot)
     }
 
-    /// Provenance reason for a book served by `slot` on the degraded
-    /// chain path. Pipeline sources stamp reasons at emission time; the
-    /// legacy walk reconstructs them on demand (explain requests only).
-    fn reason_for(&self, slot: ModelSlot, user: UserIdx, book: u32) -> Reason {
-        match slot {
-            ModelSlot::Bpr => Reason::CfNeighbours,
-            ModelSlot::ClosestItems => self
-                .closest
-                .as_ref()
-                .and_then(|c| crate::pipeline::anchor_book(c, self.train.seen(user)))
-                .map_or(Reason::Exploration, |anchor| Reason::SimilarToBorrowed {
-                    anchor,
-                }),
-            ModelSlot::MostRead => Reason::MostRead {
-                count: self
-                    .most_read
-                    .as_ref()
-                    .map_or(0, |m| m.count(BookIdx(book))),
-            },
-            ModelSlot::Random => Reason::Exploration,
-        }
+    /// `slot`'s exact f32 source, which wraps the model itself and never
+    /// an accelerator: at `pool = k` its emission is the model's own
+    /// top-k, stamped with the reason the fallback tiers explain with
+    /// (`None` when the slot is degraded).
+    fn exact_source(&self, slot: ModelSlot) -> Option<Box<dyn CandidateSource + '_>> {
+        let source: Box<dyn CandidateSource> = match slot {
+            ModelSlot::Bpr => Box::new(CfNeighboursSource::new(self.bpr.as_ref()?)),
+            ModelSlot::ClosestItems => Box::new(ContentSimilarSource::new(
+                self.closest.as_ref()?,
+                &self.train,
+            )),
+            ModelSlot::MostRead => Box::new(MostReadSource::new(self.most_read.as_ref()?)),
+            ModelSlot::Random => Box::new(FallbackSource::new(slot, &self.random)),
+        };
+        Some(source)
     }
 
     /// Asks `slot`'s breaker to admit a call, folding any state
@@ -1106,6 +1095,107 @@ impl ServingEngine {
         self.config.tracer.event("breaker_transition", |f| {
             f.push("slot", slot.metric_label()).push("to", t.label());
         });
+    }
+
+    /// Runs one slot call — `source` emitting up to `pool_size`
+    /// candidates for each of `users` — inside the fault envelope every
+    /// slot call shares. In order: the request deadline, the degraded
+    /// slot (`source` is `None`), breaker admission, fault injection,
+    /// panic isolation, the slot budget, and breaker success or failure.
+    /// Every outcome is counted in `stats` and traced as one `slot_call`
+    /// event; a failed call, and each user a healthy call had nothing
+    /// for, count as fallbacks of `slot`.
+    fn guarded_emit(
+        &self,
+        slot: ModelSlot,
+        source: Option<&dyn CandidateSource>,
+        users: &[UserIdx],
+        pool_size: usize,
+        deadline: Option<Deadline>,
+        stats: &mut ChunkStats,
+    ) -> SlotCall {
+        let tracer = &self.config.tracer;
+        let requests = users.len();
+        if deadline.is_some_and(|d| d.expired(&*self.config.clock)) {
+            stats.deadline_skips += requests as u64;
+            tracer.event("deadline_expired", |f| {
+                f.push("skipped", requests);
+            });
+            return SlotCall::Expired;
+        }
+        let fall_through =
+            |stats: &mut ChunkStats, outcome: &'static str, elapsed: Option<Duration>| {
+                stats.fallbacks[slot.index()] += requests as u64;
+                tracer.event("slot_call", |f| {
+                    f.push("slot", slot.metric_label())
+                        .push("requests", requests)
+                        .push("outcome", outcome);
+                    if let Some(elapsed) = elapsed {
+                        f.push("elapsed_ns", elapsed.as_nanos() as u64);
+                    }
+                });
+                SlotCall::Skipped
+            };
+        let Some(source) = source else {
+            return fall_through(stats, "degraded", None);
+        };
+        if !self.breaker_admit(slot, stats) {
+            stats.breaker_skips[slot.index()] += 1;
+            return fall_through(stats, "breaker_open", None);
+        }
+        // The budget clock starts before fault injection so injected
+        // latency counts against the slot like real slowness would.
+        let started = self.config.slot_budget.map(|_| self.config.clock.now());
+        #[cfg(feature = "testing")]
+        let injected = self.faults.on_call(slot);
+        #[cfg(feature = "testing")]
+        {
+            if let Some(d) = injected.latency {
+                self.config.clock.sleep(d);
+            }
+            if injected.error {
+                self.breaker_failure(slot, stats);
+                return fall_through(stats, "injected_error", None);
+            }
+        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(feature = "testing")]
+            if injected.panic {
+                panic!("injected fault: {} slot panic", slot.label());
+            }
+            let mut candidates: Vec<Vec<Candidate>> = Vec::new();
+            source.emit_batch(users, pool_size, &mut candidates);
+            candidates
+        }));
+        let Ok(candidates) = outcome else {
+            // The source panicked: isolate it and let the breaker see a
+            // failure; the users fall through to the next tier.
+            stats.panics[slot.index()] += 1;
+            self.breaker_failure(slot, stats);
+            return fall_through(stats, "panic", None);
+        };
+        if let (Some(budget), Some(started)) = (self.config.slot_budget, started) {
+            let elapsed = self.config.clock.now().saturating_sub(started);
+            if elapsed > budget {
+                // Too slow: cut the slot off (its candidates are
+                // discarded) and move on.
+                stats.timeouts[slot.index()] += 1;
+                self.breaker_failure(slot, stats);
+                return fall_through(stats, "timeout", Some(elapsed));
+            }
+        }
+        self.breaker_success(slot, stats);
+        // A user a healthy slot has nothing for (e.g. content similarity
+        // on an empty history) falls through too.
+        let served = candidates.iter().filter(|c| !c.is_empty()).count();
+        stats.fallbacks[slot.index()] += (candidates.len() - served) as u64;
+        tracer.event("slot_call", |f| {
+            f.push("slot", slot.metric_label())
+                .push("requests", requests)
+                .push("outcome", "ok")
+                .push("served", served);
+        });
+        SlotCall::Emitted(candidates)
     }
 
     /// The brownout ladder's current level ([`DegradationLevel::Full`]
@@ -1250,7 +1340,7 @@ impl ServingEngine {
     }
 
     /// Top-`k` books for `user`, served by the candidate pipeline with
-    /// the fallback chain as the degraded path. An unknown user (outside
+    /// the fallback tiers behind it. An unknown user (outside
     /// the training matrix) gets an empty list. The call records
     /// latency, cache, and per-slot counters.
     pub fn recommend(&self, user: UserIdx, k: usize) -> Vec<u32> {
@@ -1281,26 +1371,27 @@ impl ServingEngine {
     /// cache is probed once for the whole chunk, the candidate pipeline
     /// runs with the sources' batched entry points (which reuse one
     /// catalogue-sized buffer across the chunk), and the metrics mutex is
-    /// taken once. Amortising the per-request overhead this way is what
-    /// makes batched serving outrun single calls even on one core.
+    /// taken once.
     fn serve_chunk(&self, users: &[UserIdx], k: usize) -> Vec<Vec<u32>> {
         self.serve_chunk_with(users, k, None, self.current_level())
     }
 
     /// [`ServingEngine::serve_chunk`] with optional per-user explanation
-    /// capture. The chunk runs the pipeline in three stages:
+    /// capture. The chunk runs one path: cache → source tier → merge →
+    /// filters → rank → fallback tiers → cache insert → metrics.
     ///
-    /// 1. **Sources** — each configured source slot gets one attempt
-    ///    over the whole chunk, inside the same fault envelope a legacy
-    ///    chain slot had (deadline check, degradation, circuit breaker,
-    ///    fault injection, panic isolation, slot budget);
-    /// 2. **Merge → filters → rank** — per user, the emissions are
-    ///    pooled (first-source-wins provenance), pruned by the
-    ///    configured filters, and re-scored by the primary source's
-    ///    model down to top-k;
-    /// 3. **Degraded chain walk** — users the pipeline could not serve
-    ///    walk the remaining fallback-chain slots exactly as before the
-    ///    pipeline existed (each slot gets one attempt per chunk).
+    /// * **Source tier** — each configured source slot gets one guarded
+    ///   call ([`ServingEngine::guarded_emit`]) over the whole chunk;
+    /// * **Merge → filters → rank** — per user, the emissions are
+    ///   pooled (first-source-wins provenance), pruned by the
+    ///   configured filters, and re-scored by the primary source's
+    ///   model down to top-k;
+    /// * **Fallback tiers** — users the pipeline could not serve go down
+    ///   the chain slots that did not run as sources. Each tier is one
+    ///   guarded call to the slot's exact source at `pool = k`, whose
+    ///   emission is the answer as it stands (a single exact source is
+    ///   already in its own ranking order, DESIGN.md §15), explained as
+    ///   [`SourceId::Fallback`] with the reason the source stamped.
     ///
     /// When `explain` is `Some`, the cache is bypassed in both
     /// directions (cached answers carry no provenance) and the vector is
@@ -1313,7 +1404,6 @@ impl ServingEngine {
     /// then filters, then the pipeline itself, down to the most-read
     /// list. Degraded answers are never written to the cache — only
     /// full-service lists may outlive the brownout.
-    #[allow(clippy::too_many_lines)] // one request's full story reads best in one place
     fn serve_chunk_with(
         &self,
         users: &[UserIdx],
@@ -1367,188 +1457,83 @@ impl ServingEngine {
             .request_budget
             .map(|budget| Deadline::after(&*self.config.clock, budget));
         let mut remaining = misses.clone();
-        let mut deadline_hit = false;
 
-        // ---- Stage 1: candidate sources fan out ------------------------
+        // ---- Source tier: candidate sources fan out --------------------
         // The brownout level prunes the configured pipeline
         // (DESIGN.md §16): CF neighbours and content similarity are the
         // expensive stages, the most-read list is the cheap floor.
-        let expensive = |s: ModelSlot| matches!(s, ModelSlot::Bpr | ModelSlot::ClosestItems);
-        let base_sources: Vec<ModelSlot> = match &self.config.pipeline.sources {
-            Some(slots) => slots.clone(),
-            // Default: the chain's head as the single source, which
-            // reproduces the legacy chain's behaviour bit-for-bit.
-            None => self.config.chain.first().copied().into_iter().collect(),
+        let cheap_or = |slots: &[ModelSlot], floor: &[ModelSlot]| {
+            let cheap: Vec<ModelSlot> = slots
+                .iter()
+                .copied()
+                .filter(|s| !matches!(s, ModelSlot::Bpr | ModelSlot::ClosestItems))
+                .collect();
+            if cheap.is_empty() {
+                floor.to_vec()
+            } else {
+                cheap
+            }
         };
-        let source_slots: Vec<ModelSlot> = match level {
-            DegradationLevel::Full => base_sources,
+        let head = self.config.chain.first().copied();
+        let base_sources: &[ModelSlot] = match &self.config.pipeline.sources {
+            Some(slots) => slots,
+            // Default: the chain's head as the single source, which
+            // reproduces that model's own top-k bit-for-bit.
+            None => head.as_slice(),
+        };
+        let source_slots = match level {
+            DegradationLevel::Full => base_sources.to_vec(),
+            // When every configured source is expensive, the popularity
+            // source substitutes so the pipeline still runs.
             DegradationLevel::DropExpensiveSources | DegradationLevel::SkipFilters => {
-                let cheap: Vec<ModelSlot> = base_sources
-                    .into_iter()
-                    .filter(|&s| !expensive(s))
-                    .collect();
-                if cheap.is_empty() {
-                    // Every configured source was expensive: substitute
-                    // the popularity source so the pipeline still runs.
-                    vec![ModelSlot::MostRead]
-                } else {
-                    cheap
-                }
+                cheap_or(base_sources, &[ModelSlot::MostRead])
             }
             // The deepest levels bypass the pipeline entirely; the
-            // degraded chain walk below answers everything.
+            // fallback tiers below answer everything.
             DegradationLevel::LegacyFallback | DegradationLevel::MostReadOnly => Vec::new(),
         };
         let apply_filters = matches!(
             level,
             DegradationLevel::Full | DegradationLevel::DropExpensiveSources
         );
-        let degraded_chain: Vec<ModelSlot> = match level {
-            DegradationLevel::LegacyFallback => {
-                let cheap: Vec<ModelSlot> = self
-                    .config
-                    .chain
-                    .iter()
-                    .copied()
-                    .filter(|&s| !expensive(s))
-                    .collect();
-                if cheap.is_empty() {
-                    vec![ModelSlot::MostRead, ModelSlot::Random]
-                } else {
-                    cheap
-                }
-            }
-            // "Most-read only", with the terminal random fallback kept
-            // as never-empty insurance (degrade, don't go dark).
-            DegradationLevel::MostReadOnly => vec![ModelSlot::MostRead, ModelSlot::Random],
+        // The terminal random fallback stays behind most-read as
+        // never-empty insurance (degrade, don't go dark).
+        let most_read_floor = [ModelSlot::MostRead, ModelSlot::Random];
+        let fallback_chain = match level {
+            DegradationLevel::LegacyFallback => cheap_or(&self.config.chain, &most_read_floor),
+            DegradationLevel::MostReadOnly => most_read_floor.to_vec(),
             _ => self.config.chain.clone(),
         };
         let pool_size = self.config.pipeline.pool_size.max(k);
         let mut emitted: Vec<(ModelSlot, Vec<Vec<Candidate>>)> = Vec::new();
-        if !remaining.is_empty() {
+        let mut deadline_hit = false;
+        if !remaining.is_empty() && !source_slots.is_empty() {
+            let chunk_users: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
             for &slot in &source_slots {
-                if let Some(d) = deadline {
-                    if d.expired(&*self.config.clock) {
-                        stats.deadline_skips += remaining.len() as u64;
-                        tracer.event("deadline_expired", |f| {
-                            f.push("skipped", remaining.len());
-                        });
+                let source = self.slot_source(slot);
+                match self.guarded_emit(
+                    slot,
+                    source.as_deref(),
+                    &chunk_users,
+                    pool_size,
+                    deadline,
+                    &mut stats,
+                ) {
+                    SlotCall::Expired => {
                         deadline_hit = true;
                         break;
                     }
+                    SlotCall::Skipped => {}
+                    SlotCall::Emitted(candidates) => emitted.push((slot, candidates)),
                 }
-                let Some(source) = self.slot_source(slot) else {
-                    // Degraded slot: every remaining request falls through.
-                    stats.fallbacks[slot.index()] += remaining.len() as u64;
-                    tracer.event("slot_call", |f| {
-                        f.push("slot", slot.metric_label())
-                            .push("requests", remaining.len())
-                            .push("outcome", "degraded");
-                    });
-                    continue;
-                };
-                if !self.breaker_admit(slot, &mut stats) {
-                    stats.breaker_skips[slot.index()] += 1;
-                    stats.fallbacks[slot.index()] += remaining.len() as u64;
-                    tracer.event("slot_call", |f| {
-                        f.push("slot", slot.metric_label())
-                            .push("requests", remaining.len())
-                            .push("outcome", "breaker_open");
-                    });
-                    continue;
-                }
-                // The budget clock starts before fault injection so injected
-                // latency counts against the slot like real slowness would.
-                let slot_started = self.config.slot_budget.map(|_| self.config.clock.now());
-                #[cfg(feature = "testing")]
-                let injected = self.faults.on_call(slot);
-                #[cfg(feature = "testing")]
-                {
-                    if let Some(d) = injected.latency {
-                        self.config.clock.sleep(d);
-                    }
-                    if injected.error {
-                        self.breaker_failure(slot, &mut stats);
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "injected_error");
-                        });
-                        continue;
-                    }
-                }
-                let chunk_users: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "testing")]
-                    if injected.panic {
-                        panic!("injected fault: {} slot panic", slot.label());
-                    }
-                    let mut candidates: Vec<Vec<Candidate>> = Vec::new();
-                    source.emit_batch(&chunk_users, pool_size, &mut candidates);
-                    candidates
-                }));
-                let candidates = match outcome {
-                    Ok(candidates) => candidates,
-                    Err(_) => {
-                        // The source panicked: isolate it, degrade the
-                        // chunk to the later stages, and let the breaker
-                        // see a failure.
-                        stats.panics[slot.index()] += 1;
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        self.breaker_failure(slot, &mut stats);
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "panic");
-                        });
-                        continue;
-                    }
-                };
-                if let (Some(budget), Some(started)) = (self.config.slot_budget, slot_started) {
-                    let elapsed = self.config.clock.now().saturating_sub(started);
-                    if elapsed > budget {
-                        // Too slow: cut the source off (its candidates
-                        // are discarded) and move on.
-                        stats.timeouts[slot.index()] += 1;
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        self.breaker_failure(slot, &mut stats);
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "timeout")
-                                .push("elapsed_ns", elapsed.as_nanos() as u64);
-                        });
-                        continue;
-                    }
-                }
-                self.breaker_success(slot, &mut stats);
-                let mut emitted_for = 0usize;
-                for per_user in &candidates {
-                    if per_user.is_empty() {
-                        // A healthy source with nothing to say (e.g.
-                        // content similarity on an empty history) falls
-                        // through like a legacy empty answer did.
-                        stats.fallbacks[slot.index()] += 1;
-                    } else {
-                        emitted_for += 1;
-                    }
-                }
-                tracer.event("slot_call", |f| {
-                    f.push("slot", slot.metric_label())
-                        .push("requests", remaining.len())
-                        .push("outcome", "ok")
-                        .push("served", emitted_for);
-                });
-                emitted.push((slot, candidates));
             }
         }
 
-        // ---- Stage 2: merge → filters → rank ---------------------------
+        // ---- Merge → filters → rank ------------------------------------
         if !deadline_hit && !emitted.is_empty() {
             // The highest-priority source that emitted supplies the
             // rank-stage scoring model; with the default single source
-            // this reproduces the legacy slot's own ranking bit-for-bit.
+            // this reproduces the source model's own ranking bit-for-bit.
             let primary = emitted[0].0;
             let scorer = self.slot_model(primary);
             // Under a BPR primary with validated quantized factors the
@@ -1579,33 +1564,23 @@ impl ServingEngine {
                         filter.retain(&ctx, &mut pool);
                     }
                 }
-                let ranked_ok = match (quant_cf, scorer) {
+                // `ranked` is empty here: taken by the last served user or
+                // cleared by the last empty ranking.
+                match (quant_cf, scorer) {
                     (Some((qu, qi)), _) => {
                         let urow = qu.row(user.index());
-                        rank_pool_into(
-                            &pool,
-                            k,
-                            |b| qi.row(b as usize).dot(&urow),
-                            &mut top,
-                            &mut ranked,
-                        );
-                        !ranked.is_empty()
+                        let score = |b: u32| qi.row(b as usize).dot(&urow);
+                        rank_pool_into(&pool, k, score, &mut top, &mut ranked);
                     }
                     (None, Some(model)) => {
-                        rank_pool_into(
-                            &pool,
-                            k,
-                            |b| model.score(user, BookIdx(b)),
-                            &mut top,
-                            &mut ranked,
-                        );
-                        !ranked.is_empty()
+                        let score = |b: u32| model.score(user, BookIdx(b));
+                        rank_pool_into(&pool, k, score, &mut top, &mut ranked);
                     }
-                    (None, None) => false,
-                };
-                if !ranked_ok {
+                    (None, None) => {}
+                }
+                if ranked.is_empty() {
                     // Empty pool, everything filtered out, or the primary
-                    // model vanished: the degraded chain walk below gets
+                    // model vanished: the fallback tiers below get
                     // another shot at this user.
                     still_empty.push(i);
                     continue;
@@ -1632,143 +1607,55 @@ impl ServingEngine {
             remaining = still_empty;
         }
 
-        // ---- Stage 3: degraded fallback chain --------------------------
-        // Users the pipeline could not serve walk the legacy chain,
-        // skipping the slots that already ran as sources (every slot gets
-        // at most one attempt per chunk, exactly as before the pipeline).
+        // ---- Fallback tiers ---------------------------------------------
+        // Users the pipeline could not serve go down the chain, skipping
+        // the slots that already ran as sources (every slot gets at most
+        // one call per chunk).
         if !deadline_hit {
-            for &slot in &degraded_chain {
+            for &slot in &fallback_chain {
                 if remaining.is_empty() {
                     break;
                 }
                 if source_slots.contains(&slot) {
                     continue;
                 }
-                if let Some(d) = deadline {
-                    if d.expired(&*self.config.clock) {
-                        stats.deadline_skips += remaining.len() as u64;
-                        tracer.event("deadline_expired", |f| {
-                            f.push("skipped", remaining.len());
-                        });
-                        break;
-                    }
-                }
-                let Some(model) = self.slot_model(slot) else {
-                    // Degraded slot: every remaining request falls through.
-                    stats.fallbacks[slot.index()] += remaining.len() as u64;
-                    tracer.event("slot_call", |f| {
-                        f.push("slot", slot.metric_label())
-                            .push("requests", remaining.len())
-                            .push("outcome", "degraded");
-                    });
-                    continue;
+                let tier_users: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
+                let source = self.exact_source(slot);
+                let emissions = match self.guarded_emit(
+                    slot,
+                    source.as_deref(),
+                    &tier_users,
+                    k,
+                    deadline,
+                    &mut stats,
+                ) {
+                    SlotCall::Expired => break,
+                    SlotCall::Skipped => continue,
+                    SlotCall::Emitted(emissions) => emissions,
                 };
-                if !self.breaker_admit(slot, &mut stats) {
-                    stats.breaker_skips[slot.index()] += 1;
-                    stats.fallbacks[slot.index()] += remaining.len() as u64;
-                    tracer.event("slot_call", |f| {
-                        f.push("slot", slot.metric_label())
-                            .push("requests", remaining.len())
-                            .push("outcome", "breaker_open");
-                    });
-                    continue;
-                }
-                // The budget clock starts before fault injection so injected
-                // latency counts against the slot like real slowness would.
-                let slot_started = self.config.slot_budget.map(|_| self.config.clock.now());
-                #[cfg(feature = "testing")]
-                let injected = self.faults.on_call(slot);
-                #[cfg(feature = "testing")]
-                {
-                    if let Some(d) = injected.latency {
-                        self.config.clock.sleep(d);
+                let mut emissions = emissions.into_iter();
+                remaining.retain(|&i| {
+                    let emission = emissions.next().unwrap_or_default();
+                    if emission.is_empty() {
+                        return true;
                     }
-                    if injected.error {
-                        self.breaker_failure(slot, &mut stats);
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "injected_error");
-                        });
-                        continue;
+                    stats.served[slot.index()] += 1;
+                    if let Some(ex) = explain.as_deref_mut() {
+                        ex[i] = emission
+                            .iter()
+                            .map(|c| Explanation {
+                                book: c.book,
+                                source: SourceId::Fallback(slot),
+                                reason: c.reason,
+                            })
+                            .collect();
                     }
-                }
-                let chunk_users: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "testing")]
-                    if injected.panic {
-                        panic!("injected fault: {} slot panic", slot.label());
-                    }
-                    model.recommend_batch(&chunk_users, k)
-                }));
-                let answers = match outcome {
-                    Ok(answers) => answers,
-                    Err(_) => {
-                        // The slot panicked: isolate it, degrade the chunk
-                        // down the chain, and let the breaker see a failure.
-                        stats.panics[slot.index()] += 1;
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        self.breaker_failure(slot, &mut stats);
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "panic");
-                        });
-                        continue;
-                    }
-                };
-                if let (Some(budget), Some(started)) = (self.config.slot_budget, slot_started) {
-                    let elapsed = self.config.clock.now().saturating_sub(started);
-                    if elapsed > budget {
-                        // Too slow: cut the slot off (its answers are
-                        // discarded) and advance the chain.
-                        stats.timeouts[slot.index()] += 1;
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        self.breaker_failure(slot, &mut stats);
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "timeout")
-                                .push("elapsed_ns", elapsed.as_nanos() as u64);
-                        });
-                        continue;
-                    }
-                }
-                self.breaker_success(slot, &mut stats);
-                let attempted = remaining.len();
-                let mut still_empty = Vec::new();
-                for (&i, books) in remaining.iter().zip(answers) {
-                    if books.is_empty() {
-                        // Healthy slot with nothing to say (e.g. Closest
-                        // Items for an empty history): fall through too.
-                        stats.fallbacks[slot.index()] += 1;
-                        still_empty.push(i);
-                    } else {
-                        stats.served[slot.index()] += 1;
-                        if let Some(ex) = explain.as_deref_mut() {
-                            ex[i] = books
-                                .iter()
-                                .map(|&b| Explanation {
-                                    book: b,
-                                    source: SourceId::Fallback(slot),
-                                    reason: self.reason_for(slot, users[i], b),
-                                })
-                                .collect();
-                        }
-                        out[i] = Some(books);
-                    }
-                }
-                tracer.event("slot_call", |f| {
-                    f.push("slot", slot.metric_label())
-                        .push("requests", attempted)
-                        .push("outcome", "ok")
-                        .push("served", attempted - still_empty.len());
+                    out[i] = Some(emission.iter().map(|c| c.book).collect());
+                    false
                 });
-                remaining = still_empty;
             }
         }
-        // Pipeline and chain exhausted (or deadline expired): empty
+        // Pipeline and fallback tiers exhausted (or deadline expired): empty
         // answers, not served by any slot.
         for i in remaining {
             out[i] = Some(Vec::new());

@@ -13,7 +13,7 @@
 //!    [`ServingEngine::recommend_batch`] requests through the candidate
 //!    [`pipeline`] (provenance-stamped sources → merge/dedup → filters
 //!    → rank), with the fallback chain (BPR → Closest Items → Most Read
-//!    → Random) retained as the degraded path, a bounded LRU cache
+//!    → Random) as fallback tiers behind it, a bounded LRU cache
 //!    keyed by `(user, k, model_epoch)`, in-tree request metrics
 //!    (latency quantiles, QPS, cache hit ratio, per-slot serve/fallback
 //!    counts), and per-request explanations via

@@ -44,7 +44,7 @@ struct Counters {
 }
 
 /// Everything one served chunk contributes to the counters, accumulated
-/// lock-free during the chain walk and folded in under a single lock
+/// lock-free while the chunk is served and folded in under a single lock
 /// acquisition by [`ServeMetrics::record_chunk`].
 #[derive(Debug, Default, Clone)]
 pub struct ChunkStats {

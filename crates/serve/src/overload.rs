@@ -44,8 +44,8 @@ pub enum DegradationLevel {
     DropExpensiveSources,
     /// Diversity/genre filters are skipped on top of the source drop.
     SkipFilters,
-    /// The pipeline is bypassed entirely: the legacy fallback chain
-    /// serves, minus its expensive slots.
+    /// The pipeline is bypassed entirely: the fallback tiers serve,
+    /// minus the chain's expensive slots.
     LegacyFallback,
     /// Only the precomputed most-read list answers (with the terminal
     /// random fallback as never-empty insurance).

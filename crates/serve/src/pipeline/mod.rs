@@ -22,12 +22,13 @@
 //! * [`explain`] — surviving provenance becomes per-book
 //!   [`Explanation`]s ("because you borrowed X").
 //!
-//! The engine runs this pipeline inside the existing fault envelope:
-//! every source call sits behind the per-slot circuit breaker, panic
-//! isolation, and deadline budgets, and the legacy fallback chain is
-//! retained as the degraded path for users the pipeline could not
-//! serve. With the default configuration (single CF source, no
-//! filters) the pipeline's top-k is bit-identical to the legacy chain.
+//! The engine runs every source call inside one fault envelope: the
+//! per-slot circuit breaker, panic isolation, and deadline budgets.
+//! Users the pipeline could not serve go down the fallback tiers, one
+//! per remaining chain slot, each served by the slot's exact source at
+//! `pool = k`. With the default configuration (single CF source, no
+//! filters) the pipeline's top-k is bit-identical to the head model's
+//! own top-k, so the chain is a special case of the pipeline.
 
 pub mod explain;
 pub mod filters;
@@ -53,8 +54,8 @@ use std::sync::Arc;
 /// Pipeline-stage configuration carried inside `EngineConfig`.
 ///
 /// The zero-value default — no explicit sources, pool of 256, no
-/// filters, no genre lookup — makes the pipeline behave exactly like
-/// the legacy fallback chain: the engine derives a single source from
+/// filters, no genre lookup — makes the pipeline serve exactly what the
+/// chain's head model ranks: the engine derives a single source from
 /// the head of the chain and ranks its emission unfiltered.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {

@@ -7,7 +7,7 @@
 //! front-to-back reproduces exactly the order a full-catalogue
 //! `rank_by_scores` walk would have produced when restricted to the
 //! pool. That identity is what makes the default pipeline bit-identical
-//! to the legacy fallback chain (DESIGN.md §15).
+//! to the head model's own top-k (DESIGN.md §15).
 
 use super::sources::Candidate;
 use rm_util::TopK;

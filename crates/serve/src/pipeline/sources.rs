@@ -122,25 +122,31 @@ pub trait CandidateSource: Send + Sync {
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>);
 }
 
-/// Maps a recommender's ranked output into candidates with one fixed
-/// reason per book.
-fn emit_ranked(
+/// Maps a recommender's ranked output into candidates. `reason` is
+/// called once per user and returns that user's per-book reason, so
+/// per-user provenance (an anchor book) is computed once, not per
+/// candidate.
+fn emit_ranked<R: Fn(u32) -> Reason>(
     model: &dyn Recommender,
     id: SourceId,
     users: &[UserIdx],
     pool_size: usize,
     out: &mut Vec<Vec<Candidate>>,
-    mut reason: impl FnMut(UserIdx, u32) -> Reason,
+    reason: impl Fn(UserIdx) -> R,
 ) {
     let mut ranked: Vec<Vec<u32>> = Vec::new();
     model.recommend_batch_into(users, pool_size, &mut ranked);
     out.resize_with(users.len(), Vec::new);
     for ((&u, books), slot) in users.iter().zip(&ranked).zip(out.iter_mut()) {
         slot.clear();
+        if books.is_empty() {
+            continue;
+        }
+        let reason = reason(u);
         slot.extend(books.iter().map(|&b| Candidate {
             book: b,
             source: id,
-            reason: reason(u, b),
+            reason: reason(b),
         }));
     }
 }
@@ -166,8 +172,8 @@ impl CandidateSource for CfNeighboursSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.bpr, self.id(), users, pool_size, out, |_, _| {
-            Reason::CfNeighbours
+        emit_ranked(self.bpr, self.id(), users, pool_size, out, |_| {
+            |_| Reason::CfNeighbours
         });
     }
 }
@@ -195,17 +201,13 @@ impl CandidateSource for ContentSimilarSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(
-            self.closest,
-            self.id(),
-            users,
-            pool_size,
-            out,
-            |u, _| match anchor_book(self.closest, self.train.seen(u)) {
+        emit_ranked(self.closest, self.id(), users, pool_size, out, |u| {
+            let reason = match anchor_book(self.closest, self.train.seen(u)) {
                 Some(anchor) => Reason::SimilarToBorrowed { anchor },
                 None => Reason::Exploration,
-            },
-        );
+            };
+            move |_| reason
+        });
     }
 }
 
@@ -241,8 +243,8 @@ impl CandidateSource for QuantCfNeighboursSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(&self.rec, self.id(), users, pool_size, out, |_, _| {
-            Reason::CfNeighbours
+        emit_ranked(&self.rec, self.id(), users, pool_size, out, |_| {
+            |_| Reason::CfNeighbours
         });
     }
 }
@@ -491,8 +493,8 @@ impl CandidateSource for MostReadSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.most_read, self.id(), users, pool_size, out, |_, b| {
-            Reason::MostRead {
+        emit_ranked(self.most_read, self.id(), users, pool_size, out, |_| {
+            |b| Reason::MostRead {
                 count: self.most_read.count(BookIdx(b)),
             }
         });
@@ -642,8 +644,8 @@ impl CandidateSource for FallbackSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.model, self.id(), users, pool_size, out, |_, _| {
-            Reason::Exploration
+        emit_ranked(self.model, self.id(), users, pool_size, out, |_| {
+            |_| Reason::Exploration
         });
     }
 }

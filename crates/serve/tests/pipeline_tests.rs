@@ -7,7 +7,7 @@ use rm_core::closest::ClosestItems;
 use rm_core::most_read::MostReadItems;
 use rm_core::Recommender;
 use rm_datagen::Preset;
-use rm_dataset::ids::UserIdx;
+use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
 use rm_dataset::summary::SummaryFields;
 use rm_dataset::Corpus;
@@ -397,6 +397,95 @@ fn mismatched_ann_artifact_is_dropped_with_note() {
     }
     fx.cleanup();
     let _ = std::fs::remove_dir_all(registry.dir());
+}
+
+/// Users the pipeline cannot serve are answered by the fallback tiers,
+/// and their explanations name the tier's slot and carry the reason its
+/// exact source emits: the anchor book for Closest Items, the read
+/// count for Most Read, exploration for Random.
+#[test]
+fn fallback_tiers_carry_slot_provenance() {
+    let fx = train_fixture("fallback-provenance");
+    // Every Tiny training user has a history; one extra reader without
+    // any gives Closest Items nothing to say. Only BPR's factors are
+    // sized by the user count, and BPR is removed below.
+    let pairs: Vec<(UserIdx, BookIdx)> = (0..fx.train.n_users() as u32)
+        .flat_map(|u| {
+            fx.train
+                .seen(UserIdx(u))
+                .iter()
+                .map(move |&b| (UserIdx(u), BookIdx(b)))
+        })
+        .collect();
+    let train = Interactions::from_pairs(fx.train.n_users() + 1, fx.train.n_books(), &pairs);
+    let h = Harness::generate(11, Preset::Tiny);
+    let mut closest =
+        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
+    closest.fit(&train);
+    let mut most_read = MostReadItems::new();
+    most_read.fit(&train);
+    let k = 6;
+
+    // BPR missing: users with a history fall to Closest Items, users
+    // without one on to Most Read.
+    std::fs::remove_file(fx.registry.path_of(rm_serve::registry::BPR_FILE)).unwrap();
+    let engine =
+        ServingEngine::load(&fx.registry, &train, EngineConfig::default()).expect("engine loads");
+    let (mut by_closest, mut by_most_read) = (0, 0);
+    for u in 0..train.n_users() as u32 {
+        let user = UserIdx(u);
+        let (top, explanations) = engine.recommend_explained(user, k);
+        assert_eq!(top.len(), explanations.len(), "user {u}");
+        let seen = train.seen(user);
+        if seen.is_empty() {
+            assert_eq!(top, most_read.recommend(user, k), "user {u}");
+            for (b, ex) in top.iter().zip(&explanations) {
+                assert_eq!(ex.book, *b, "user {u}");
+                assert_eq!(ex.source, SourceId::Fallback(ModelSlot::MostRead));
+                assert_eq!(
+                    ex.reason,
+                    Reason::MostRead {
+                        count: most_read.count(BookIdx(*b))
+                    },
+                    "user {u} book {b}"
+                );
+            }
+            by_most_read += 1;
+        } else {
+            assert_eq!(top, closest.recommend(user, k), "user {u}");
+            let anchor = rm_serve::pipeline::anchor_book(&closest, seen).expect("history");
+            for (b, ex) in top.iter().zip(&explanations) {
+                assert_eq!(ex.book, *b, "user {u}");
+                assert_eq!(ex.source, SourceId::Fallback(ModelSlot::ClosestItems));
+                assert_eq!(ex.reason, Reason::SimilarToBorrowed { anchor }, "user {u}");
+            }
+            by_closest += 1;
+        }
+    }
+    assert!(by_closest > 0, "someone with a history was served");
+    assert!(by_most_read > 0, "someone without a history was served");
+
+    // Every model missing: Random Items answers everyone.
+    for file in [
+        rm_serve::registry::MOST_READ_FILE,
+        rm_serve::registry::EMBEDDINGS_FILE,
+    ] {
+        std::fs::remove_file(fx.registry.path_of(file)).unwrap();
+    }
+    let engine =
+        ServingEngine::load(&fx.registry, &train, EngineConfig::default()).expect("engine loads");
+    assert_eq!(engine.degraded().len(), 3);
+    for u in 0..train.n_users() as u32 {
+        let (top, explanations) = engine.recommend_explained(UserIdx(u), k);
+        assert_eq!(top.len(), k, "user {u}");
+        assert_eq!(top.len(), explanations.len(), "user {u}");
+        for (b, ex) in top.iter().zip(&explanations) {
+            assert_eq!(ex.book, *b, "user {u}");
+            assert_eq!(ex.source, SourceId::Fallback(ModelSlot::Random));
+            assert_eq!(ex.reason, Reason::Exploration);
+        }
+    }
+    fx.cleanup();
 }
 
 #[cfg(feature = "testing")]

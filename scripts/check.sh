@@ -45,6 +45,11 @@ fi
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench unit tests (answer validator, percentile helper, span self-time)"
+# perfbench/ is a package with its own [workspace], so the workspace run
+# above never reaches it.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos suite (rm-serve with fault injection compiled in)"
 cargo test -q -p rm-serve --features testing
 
