@@ -89,7 +89,10 @@ impl ClosestItems {
 
     /// [`ClosestItems::query`] into a caller-provided buffer; returns
     /// `false` (buffer untouched) for a user with no training readings.
-    fn query_into(&self, user: UserIdx, buf: &mut Vec<f32>) -> bool {
+    /// [`Recommender::score`] is a dot of this query with the book's
+    /// embedding, so a caller scoring many books for one user builds
+    /// the query once here.
+    pub fn query_into(&self, user: UserIdx, buf: &mut Vec<f32>) -> bool {
         let Some(train) = self.fitted() else {
             return false;
         };

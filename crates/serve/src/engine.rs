@@ -53,10 +53,10 @@ use crate::overload::{
     DegradationLevel, LevelTransition, OverloadConfig, OverloadGovernor, ShedReason,
 };
 use crate::pipeline::{
-    merge_into, rank_pool_into, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres,
-    Candidate, CandidateFilter, CandidateSource, CfNeighboursSource, ContentSimilarSource,
-    Explanation, FallbackSource, FilterCtx, MostReadSource, PipelineConfig,
-    QuantCfNeighboursSource, SourceId,
+    anchor_book, merge_into, rank_pool_into, AnnCfNeighboursSource, AnnContentSimilarSource,
+    BookGenres, Candidate, CandidateFilter, CandidateSource, CfNeighboursSource,
+    ContentSimilarSource, Explanation, FallbackSource, FilterCtx, MostReadSource, PipelineConfig,
+    QuantCfNeighboursSource, Reason, SourceId,
 };
 use crate::registry::{ArtifactRegistry, LoadedArtifacts};
 use rm_core::bpr::{Bpr, BprConfig};
@@ -67,6 +67,7 @@ use rm_core::random::RandomItems;
 use rm_core::Recommender;
 use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
+use rm_sparse::vecops;
 use rm_util::clock::{Backoff, Clock, Deadline, MonotonicClock};
 use rm_util::trace::Tracer;
 use rm_util::{RecError, TopK};
@@ -1030,19 +1031,56 @@ impl ServingEngine {
 
     /// `slot`'s exact f32 source, which wraps the model itself and never
     /// an accelerator: at `pool = k` its emission is the model's own
-    /// top-k, stamped with the reason the fallback tiers explain with
-    /// (`None` when the slot is degraded).
+    /// top-k (`None` when the slot is degraded).
     fn exact_source(&self, slot: ModelSlot) -> Option<Box<dyn CandidateSource + '_>> {
         let source: Box<dyn CandidateSource> = match slot {
             ModelSlot::Bpr => Box::new(CfNeighboursSource::new(self.bpr.as_ref()?)),
-            ModelSlot::ClosestItems => Box::new(ContentSimilarSource::new(
-                self.closest.as_ref()?,
-                &self.train,
-            )),
+            ModelSlot::ClosestItems => Box::new(ContentSimilarSource::new(self.closest.as_ref()?)),
             ModelSlot::MostRead => Box::new(MostReadSource::new(self.most_read.as_ref()?)),
             ModelSlot::Random => Box::new(FallbackSource::new(slot, &self.random)),
         };
         Some(source)
+    }
+
+    /// One explanation per answered candidate of `user`, its reason
+    /// derived from the serving slot of the candidate's source: CF
+    /// neighbours for BPR, the anchor book for Closest Items (computed
+    /// at most once per call), the read count for Most Read, and
+    /// exploration for Random Items or a slot with nothing to say.
+    fn explanations(
+        &self,
+        user: UserIdx,
+        answered: impl Iterator<Item = Candidate>,
+    ) -> Vec<Explanation> {
+        let mut anchor: Option<Option<u32>> = None;
+        answered
+            .map(|Candidate { book, source }| {
+                let reason = match source.slot() {
+                    ModelSlot::Bpr => Reason::CfNeighbours,
+                    ModelSlot::ClosestItems => anchor
+                        .get_or_insert_with(|| {
+                            let closest = self.closest.as_ref()?;
+                            anchor_book(closest, self.train.seen(user))
+                        })
+                        .map_or(Reason::Exploration, |anchor| Reason::SimilarToBorrowed {
+                            anchor,
+                        }),
+                    ModelSlot::MostRead => {
+                        self.most_read
+                            .as_ref()
+                            .map_or(Reason::Exploration, |m| Reason::MostRead {
+                                count: m.count(BookIdx(book)),
+                            })
+                    }
+                    ModelSlot::Random => Reason::Exploration,
+                };
+                Explanation {
+                    book,
+                    source,
+                    reason,
+                }
+            })
+            .collect()
     }
 
     /// Asks `slot`'s breaker to admit a call, folding any state
@@ -1391,12 +1429,13 @@ impl ServingEngine {
     ///   guarded call to the slot's exact source at `pool = k`, whose
     ///   emission is the answer as it stands (a single exact source is
     ///   already in its own ranking order, DESIGN.md §15), explained as
-    ///   [`SourceId::Fallback`] with the reason the source stamped.
+    ///   [`SourceId::Fallback`] of that slot.
     ///
     /// When `explain` is `Some`, the cache is bypassed in both
     /// directions (cached answers carry no provenance) and the vector is
     /// filled with one explanation list per user, aligned with the
-    /// returned answers.
+    /// returned answers; reasons are derived only then
+    /// ([`ServingEngine::explanations`]).
     ///
     /// `level` is the brownout rung the chunk serves at
     /// (DESIGN.md §16): [`DegradationLevel::Full`] runs everything
@@ -1543,6 +1582,14 @@ impl ServingEngine {
                 ModelSlot::Bpr => self.quant_cf_rows(),
                 _ => None,
             };
+            // Under a Closest Items primary the Eq. 1 query is built once
+            // per user and dotted with each candidate, exactly as
+            // `ClosestItems::score` would per candidate.
+            let closest = self
+                .closest
+                .as_ref()
+                .filter(|_| primary == ModelSlot::ClosestItems);
+            let mut query: Vec<f32> = Vec::new();
             let genres = self.config.pipeline.book_genres.as_deref();
             let mut pool: Vec<Candidate> = Vec::new();
             let mut top = TopK::new(1);
@@ -1566,17 +1613,30 @@ impl ServingEngine {
                 }
                 // `ranked` is empty here: taken by the last served user or
                 // cleared by the last empty ranking.
-                match (quant_cf, scorer) {
-                    (Some((qu, qi)), _) => {
+                match (quant_cf, closest, scorer) {
+                    (Some((qu, qi)), _, _) => {
                         let urow = qu.row(user.index());
                         let score = |b: u32| qi.row(b as usize).dot(&urow);
                         rank_pool_into(&pool, k, score, &mut top, &mut ranked);
                     }
-                    (None, Some(model)) => {
+                    (None, Some(closest), _) => {
+                        let store = closest.store();
+                        // No history: every score is 0.0.
+                        let has_query = closest.query_into(user, &mut query);
+                        let score = |b: u32| {
+                            if has_query {
+                                vecops::dot(&query, store.embedding(b as usize))
+                            } else {
+                                0.0
+                            }
+                        };
+                        rank_pool_into(&pool, k, score, &mut top, &mut ranked);
+                    }
+                    (None, None, Some(model)) => {
                         let score = |b: u32| model.score(user, BookIdx(b));
                         rank_pool_into(&pool, k, score, &mut top, &mut ranked);
                     }
-                    (None, None) => {}
+                    (None, None, None) => {}
                 }
                 if ranked.is_empty() {
                     // Empty pool, everything filtered out, or the primary
@@ -1587,20 +1647,14 @@ impl ServingEngine {
                 }
                 // Attribute the serve to the slot whose source proposed
                 // the winning (top-ranked) book.
-                let winner = pool.iter().find(|c| c.book == ranked[0]).map(|c| c.source);
-                let slot = winner.and_then(SourceId::slot).unwrap_or(primary);
+                let winner = pool.iter().find(|c| c.book == ranked[0]);
+                let slot = winner.map_or(primary, |c| c.source.slot());
                 stats.served[slot.index()] += 1;
                 if let Some(ex) = explain.as_deref_mut() {
-                    ex[i] = ranked
+                    let answered = ranked
                         .iter()
-                        .filter_map(|&b| {
-                            pool.iter().find(|c| c.book == b).map(|c| Explanation {
-                                book: b,
-                                source: c.source,
-                                reason: c.reason,
-                            })
-                        })
-                        .collect();
+                        .filter_map(|&b| pool.iter().find(|c| c.book == b).copied());
+                    ex[i] = self.explanations(user, answered);
                 }
                 out[i] = Some(std::mem::take(&mut ranked));
             }
@@ -1641,14 +1695,11 @@ impl ServingEngine {
                     }
                     stats.served[slot.index()] += 1;
                     if let Some(ex) = explain.as_deref_mut() {
-                        ex[i] = emission
-                            .iter()
-                            .map(|c| Explanation {
-                                book: c.book,
-                                source: SourceId::Fallback(slot),
-                                reason: c.reason,
-                            })
-                            .collect();
+                        let answered = emission.iter().map(|c| Candidate {
+                            book: c.book,
+                            source: SourceId::Fallback(slot),
+                        });
+                        ex[i] = self.explanations(users[i], answered);
                     }
                     out[i] = Some(emission.iter().map(|c| c.book).collect());
                     false

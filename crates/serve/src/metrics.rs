@@ -123,35 +123,6 @@ impl ServeMetrics {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records a request answered from the cache.
-    pub fn record_hit(&self, latency: Duration) {
-        let mut c = self.lock();
-        c.requests += 1;
-        c.cache_hits += 1;
-        c.latency.record(latency.as_nanos() as u64);
-    }
-
-    /// Records a request answered by a model. `served` is the slot that
-    /// produced the list (`None` when the whole chain came up empty);
-    /// `fell_through` are the slots tried before it, each of which counts
-    /// as one fallback.
-    pub fn record_serve(
-        &self,
-        latency: Duration,
-        served: Option<ModelSlot>,
-        fell_through: &[ModelSlot],
-    ) {
-        let mut c = self.lock();
-        c.requests += 1;
-        c.latency.record(latency.as_nanos() as u64);
-        if let Some(slot) = served {
-            c.served[slot.index()] += 1;
-        }
-        for &slot in fell_through {
-            c.fallbacks[slot.index()] += 1;
-        }
-    }
-
     /// Folds a whole served chunk into the counters in one lock
     /// acquisition; each of its requests is accounted the amortised
     /// per-request latency. A zero-request chunk records no latency
@@ -633,16 +604,35 @@ mod tests {
     use super::*;
     use rm_util::clock::FakeClock;
 
+    /// A one-request chunk answered from the cache in `latency`.
+    fn hit(latency: Duration) -> ChunkStats {
+        let mut stats = ChunkStats::new(1, 1);
+        stats.elapsed = latency;
+        stats
+    }
+
+    /// A one-request chunk served by `served` in `latency`, after one
+    /// fall-through of each slot in `fell_through`.
+    fn serve(latency: Duration, served: ModelSlot, fell_through: &[ModelSlot]) -> ChunkStats {
+        let mut stats = ChunkStats::new(1, 0);
+        stats.elapsed = latency;
+        stats.served[served.index()] = 1;
+        for &slot in fell_through {
+            stats.fallbacks[slot.index()] += 1;
+        }
+        stats
+    }
+
     #[test]
     fn counters_accumulate() {
         let m = ServeMetrics::default();
-        m.record_serve(Duration::from_micros(100), Some(ModelSlot::Bpr), &[]);
-        m.record_serve(
+        m.record_chunk(&serve(Duration::from_micros(100), ModelSlot::Bpr, &[]));
+        m.record_chunk(&serve(
             Duration::from_micros(200),
-            Some(ModelSlot::MostRead),
+            ModelSlot::MostRead,
             &[ModelSlot::Bpr, ModelSlot::ClosestItems],
-        );
-        m.record_hit(Duration::from_micros(1));
+        ));
+        m.record_chunk(&hit(Duration::from_micros(1)));
         let s = m.snapshot();
         assert_eq!(s.requests, 3);
         assert_eq!(s.cache_hits, 1);
@@ -710,7 +700,7 @@ mod tests {
         let clock = Arc::new(FakeClock::new());
         let m = ServeMetrics::new(Arc::clone(&clock) as Arc<dyn Clock>);
         for _ in 0..30 {
-            m.record_hit(Duration::from_micros(2));
+            m.record_chunk(&hit(Duration::from_micros(2)));
         }
         clock.advance(Duration::from_secs(3));
         let s = m.snapshot();
@@ -722,12 +712,12 @@ mod tests {
     fn reset_restarts_the_qps_clock() {
         let clock = Arc::new(FakeClock::new());
         let mut m = ServeMetrics::new(Arc::clone(&clock) as Arc<dyn Clock>);
-        m.record_hit(Duration::from_micros(5));
+        m.record_chunk(&hit(Duration::from_micros(5)));
         clock.advance(Duration::from_secs(10));
         m.reset();
         clock.advance(Duration::from_secs(2));
         for _ in 0..4 {
-            m.record_hit(Duration::from_micros(5));
+            m.record_chunk(&hit(Duration::from_micros(5)));
         }
         let s = m.snapshot();
         assert_eq!(s.requests, 4);
@@ -749,7 +739,7 @@ mod tests {
     #[test]
     fn render_mentions_every_headline_number() {
         let m = ServeMetrics::default();
-        m.record_serve(Duration::from_micros(50), Some(ModelSlot::Random), &[]);
+        m.record_chunk(&serve(Duration::from_micros(50), ModelSlot::Random, &[]));
         let text = m.snapshot().render();
         for needle in [
             "p50",
@@ -782,13 +772,13 @@ mod tests {
     fn prometheus_roundtrips_the_snapshot_counters() {
         let clock = Arc::new(FakeClock::new());
         let m = ServeMetrics::new(Arc::clone(&clock) as Arc<dyn Clock>);
-        m.record_serve(Duration::from_micros(100), Some(ModelSlot::Bpr), &[]);
-        m.record_serve(
+        m.record_chunk(&serve(Duration::from_micros(100), ModelSlot::Bpr, &[]));
+        m.record_chunk(&serve(
             Duration::from_micros(300),
-            Some(ModelSlot::MostRead),
+            ModelSlot::MostRead,
             &[ModelSlot::Bpr],
-        );
-        m.record_hit(Duration::from_micros(1));
+        ));
+        m.record_chunk(&hit(Duration::from_micros(1)));
         clock.advance(Duration::from_secs(1));
         let s = m.snapshot();
         let text = s.render_prometheus(Some([
@@ -881,7 +871,7 @@ mod tests {
         m.record_shed(ShedReason::QueueFull);
         m.record_shed(ShedReason::DeadlineHopeless);
         m.record_shed(ShedReason::CodelOverload);
-        m.record_hit(Duration::from_micros(1));
+        m.record_chunk(&hit(Duration::from_micros(1)));
         let mut s = m.snapshot();
         assert_eq!(s.shed_total(), 4);
         // 4 shed out of 5 arrivals; availability ignores shed entirely.
@@ -929,8 +919,8 @@ mod tests {
         let m = ServeMetrics::default();
         // A sample at the histogram's saturation point (>= 2^62 ns) must
         // be counted explicitly, not silently folded into the top bucket.
-        m.record_hit(Duration::from_nanos(1 << 62));
-        m.record_hit(Duration::from_micros(3));
+        m.record_chunk(&hit(Duration::from_nanos(1 << 62)));
+        m.record_chunk(&hit(Duration::from_micros(3)));
         let s = m.snapshot();
         assert_eq!(s.latency.overflow(), 1);
         let text = s.render_prometheus(None);
@@ -940,7 +930,7 @@ mod tests {
     #[test]
     fn reset_zeroes_and_restarts() {
         let mut m = ServeMetrics::default();
-        m.record_hit(Duration::from_micros(5));
+        m.record_chunk(&hit(Duration::from_micros(5)));
         m.reset();
         assert_eq!(m.snapshot().requests, 0);
     }

@@ -1,14 +1,64 @@
-//! Per-request explanations rendered from candidate provenance.
+//! Per-request explanations derived from candidate provenance.
 //!
 //! Every candidate that survives to the final ranking carries the
-//! [`SourceId`] and [`Reason`] stamped on it at emission time; an
-//! [`Explanation`] is that provenance attached to one recommended book.
-//! The serving engine returns them from
-//! `ServingEngine::recommend_explained`, and the `explain` CLI
-//! subcommand renders them as reader-facing sentences ("because you
-//! borrowed X").
+//! [`SourceId`] stamped on it at emission time. Only when an explanation
+//! is requested does `ServingEngine::recommend_explained` derive a
+//! [`Reason`] from that source's serving slot — the anchor book
+//! ([`anchor_book`]) for Closest Items, the read count for Most Read —
+//! so the serving path without explanations computes none. An
+//! [`Explanation`] is the source and reason attached to one recommended
+//! book, and the `explain` CLI subcommand renders it as a reader-facing
+//! sentence ("because you borrowed X").
 
-use super::sources::{Reason, SourceId};
+use super::sources::SourceId;
+use rm_core::closest::ClosestItems;
+use rm_sparse::vecops;
+
+/// Why a book was recommended — derived from the serving slot of the
+/// source that proposed it, and rendered for the reader by the
+/// explanation layer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Reason {
+    /// Readers with a similar borrowing history also read it.
+    CfNeighbours,
+    /// Its metadata is close to a book the user borrowed.
+    SimilarToBorrowed {
+        /// The borrowed book the recommendation is anchored to.
+        anchor: u32,
+    },
+    /// It is among the library's most-read books.
+    MostRead {
+        /// Training-set read count.
+        count: u64,
+    },
+    /// An exploration pick with no model-specific story (Random Items).
+    Exploration,
+}
+
+/// The borrowed book most representative of the user's taste: the seen
+/// book whose embedding is most similar to the (normalised) centroid of
+/// everything they borrowed. Ties break toward the lower book index;
+/// `None` for an empty history.
+#[must_use]
+pub fn anchor_book(closest: &ClosestItems, seen: &[u32]) -> Option<u32> {
+    if seen.is_empty() {
+        return None;
+    }
+    let store = closest.store();
+    let centroid = store.centroid(seen);
+    let mut best: Option<(u32, f32)> = None;
+    for &b in seen {
+        let sim = vecops::dot(&centroid, store.embedding(b as usize));
+        let better = match best {
+            None => true,
+            Some((_, best_sim)) => sim > best_sim,
+        };
+        if better {
+            best = Some((b, sim));
+        }
+    }
+    best.map(|(b, _)| b)
+}
 
 /// Why one recommended book was recommended.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,7 +67,7 @@ pub struct Explanation {
     pub book: u32,
     /// The source whose provenance won the merge for this book.
     pub source: SourceId,
-    /// The source's stated reason.
+    /// Why that source's slot recommends the book.
     pub reason: Reason,
 }
 
@@ -36,9 +86,6 @@ impl Explanation {
             }
             Reason::MostRead { count } => {
                 format!("because it is one of the library's most-read books ({count} readings)")
-            }
-            Reason::GenrePreference { genre } => {
-                format!("because you often borrow books of genre #{genre}")
             }
             Reason::Exploration => "an exploration pick to broaden your shelf".to_owned(),
         }

@@ -127,14 +127,13 @@ impl CandidateFilter for DiversityCapFilter {
 
 #[cfg(test)]
 mod tests {
-    use super::super::sources::{Reason, SourceId};
+    use super::super::sources::SourceId;
     use super::*;
 
     fn cand(book: u32) -> Candidate {
         Candidate {
             book,
             source: SourceId::MostRead,
-            reason: Reason::Exploration,
         }
     }
 

@@ -32,15 +32,11 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::super::sources::{Reason, SourceId};
+    use super::super::sources::SourceId;
     use super::*;
 
     fn cand(book: u32, source: SourceId) -> Candidate {
-        Candidate {
-            book,
-            source,
-            reason: Reason::Exploration,
-        }
+        Candidate { book, source }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! * [`sources`] — [`CandidateSource`]s fan out per request, each
-//!   emitting a few hundred [`Candidate`]s with provenance (who
-//!   proposed the book, and why);
+//!   emitting a few hundred [`Candidate`]s, best first, stamped with
+//!   the [`SourceId`] that proposed the book;
 //! * [`merge`] — deterministic pooling, deduplicated by book index with
 //!   first-source-wins provenance;
 //! * [`filters`] — [`CandidateFilter`] business rules pruning the pool
@@ -19,8 +19,9 @@
 //! * [`rank`] — the pooled survivors are re-scored by the primary
 //!   source's model and reduced to top-k with the same deterministic
 //!   [`rm_util::TopK`] selector the recommenders use;
-//! * [`explain`] — surviving provenance becomes per-book
-//!   [`Explanation`]s ("because you borrowed X").
+//! * [`explain`] — on request, each answered book's source becomes an
+//!   [`Explanation`] whose [`Reason`] the engine derives from the
+//!   source's serving slot ("because you borrowed X").
 //!
 //! The engine runs every source call inside one fault envelope: the
 //! per-slot circuit breaker, panic isolation, and deadline budgets.
@@ -36,16 +37,16 @@ pub mod merge;
 pub mod rank;
 pub mod sources;
 
-pub use explain::Explanation;
+pub use explain::{anchor_book, Explanation, Reason};
 pub use filters::{
     AlreadyBorrowedFilter, CandidateFilter, DiversityCapFilter, FilterCtx, GenreFilter,
 };
 pub use merge::merge_into;
 pub use rank::rank_pool_into;
 pub use sources::{
-    anchor_book, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres, Candidate,
-    CandidateSource, CfNeighboursSource, ContentSimilarSource, FallbackSource,
-    GenrePreferenceSource, MostReadSource, QuantCfNeighboursSource, Reason, SourceId,
+    AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres, Candidate, CandidateSource,
+    CfNeighboursSource, ContentSimilarSource, FallbackSource, MostReadSource,
+    QuantCfNeighboursSource, SourceId,
 };
 
 use crate::engine::ModelSlot;
@@ -69,7 +70,7 @@ pub struct PipelineConfig {
     pub pool_size: usize,
     /// Business-rule filters, applied in order after the merge.
     pub filters: Vec<Arc<dyn CandidateFilter>>,
-    /// Catalogue genre lookup for genre-aware filters and sources.
+    /// Catalogue genre lookup for the genre-aware filters.
     pub book_genres: Option<Arc<BookGenres>>,
     /// Posting lists probed per ANN-accelerated source call. Only
     /// consulted when the loaded registry carries a valid ANN artifact;

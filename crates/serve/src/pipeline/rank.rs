@@ -37,7 +37,7 @@ pub fn rank_pool_into(
 
 #[cfg(test)]
 mod tests {
-    use super::super::sources::{Reason, SourceId};
+    use super::super::sources::SourceId;
     use super::*;
 
     fn pool(books: &[u32]) -> Vec<Candidate> {
@@ -46,7 +46,6 @@ mod tests {
             .map(|&book| Candidate {
                 book,
                 source: SourceId::MostRead,
-                reason: Reason::Exploration,
             })
             .collect()
     }

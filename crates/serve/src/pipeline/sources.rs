@@ -1,13 +1,14 @@
 //! Candidate sources: the fan-out stage of the serving pipeline.
 //!
 //! A [`CandidateSource`] wraps one retrieval signal — collaborative
-//! filtering, content similarity, global popularity, genre preference —
-//! and emits a few hundred [`Candidate`]s per user, each carrying its
-//! provenance: which source proposed it ([`SourceId`]) and why
-//! ([`Reason`]). Provenance is what the explanation layer
-//! ([`crate::pipeline::explain`]) surfaces as "because you borrowed X",
-//! and what the merge stage keeps when two sources propose the same
-//! book (first source wins — see [`crate::pipeline::merge`]).
+//! filtering, content similarity, global popularity — and emits a few
+//! hundred [`Candidate`]s per user, best first, each stamped with the
+//! [`SourceId`] that proposed it. That provenance is what the merge
+//! stage keeps when two sources propose the same book (first source
+//! wins — see [`crate::pipeline::merge`]) and what the engine derives a
+//! reader-facing [`Reason`](crate::pipeline::Reason) from when an
+//! explanation is requested ([`crate::pipeline::explain`]); sources
+//! themselves compute no reasons.
 //!
 //! Sources are ranked *suggestions*, not answers: the pipeline merges,
 //! filters, and re-scores the pooled candidates, so a source only has
@@ -21,7 +22,7 @@ use rm_core::most_read::MostReadItems;
 use rm_core::quant::{QuantArtifact, QuantMatrix, QuantQuery, QuantRecommender};
 use rm_core::Recommender;
 use rm_dataset::corpus::Corpus;
-use rm_dataset::ids::{BookIdx, UserIdx};
+use rm_dataset::ids::UserIdx;
 use rm_dataset::interactions::Interactions;
 use rm_embed::ivf::{IvfIndex, IvfScratch};
 use rm_sparse::vecops;
@@ -35,8 +36,6 @@ pub enum SourceId {
     ContentSimilar,
     /// Global popularity (Most Read Items).
     MostRead,
-    /// The user's dominant borrowed genre.
-    GenrePreference,
     /// A plain fallback wrap of one serving slot (e.g. Random Items).
     Fallback(ModelSlot),
 }
@@ -49,60 +48,30 @@ impl SourceId {
             Self::CfNeighbours => "cf_neighbours",
             Self::ContentSimilar => "content_similar",
             Self::MostRead => "most_read",
-            Self::GenrePreference => "genre_preference",
             Self::Fallback(slot) => slot.metric_label(),
         }
     }
 
-    /// The serving slot this source is backed by, when there is one —
-    /// used to attribute `served` metrics. [`SourceId::GenrePreference`]
-    /// is model-free and maps to no slot.
+    /// The serving slot this source is backed by — used to attribute
+    /// `served` metrics and to derive explanation reasons.
     #[must_use]
-    pub fn slot(self) -> Option<ModelSlot> {
+    pub fn slot(self) -> ModelSlot {
         match self {
-            Self::CfNeighbours => Some(ModelSlot::Bpr),
-            Self::ContentSimilar => Some(ModelSlot::ClosestItems),
-            Self::MostRead => Some(ModelSlot::MostRead),
-            Self::GenrePreference => None,
-            Self::Fallback(slot) => Some(slot),
+            Self::CfNeighbours => ModelSlot::Bpr,
+            Self::ContentSimilar => ModelSlot::ClosestItems,
+            Self::MostRead => ModelSlot::MostRead,
+            Self::Fallback(slot) => slot,
         }
     }
 }
 
-/// Why a source proposed a candidate — the provenance the explanation
-/// layer renders for the reader.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Reason {
-    /// Readers with a similar borrowing history also read it.
-    CfNeighbours,
-    /// Its metadata is close to a book the user borrowed.
-    SimilarToBorrowed {
-        /// The borrowed book the recommendation is anchored to.
-        anchor: u32,
-    },
-    /// It is among the library's most-read books.
-    MostRead {
-        /// Training-set read count.
-        count: u64,
-    },
-    /// It belongs to the user's dominant borrowed genre.
-    GenrePreference {
-        /// Aggregated genre id (see `rm_dataset::genre`).
-        genre: u8,
-    },
-    /// An exploration pick with no model-specific story (Random Items).
-    Exploration,
-}
-
-/// One candidate book with full provenance.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One candidate book and the source that proposed it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// Dense book index.
     pub book: u32,
     /// The source that proposed it.
     pub source: SourceId,
-    /// Why it proposed it.
-    pub reason: Reason,
 }
 
 /// A pluggable candidate source: stage one of the serving pipeline.
@@ -122,32 +91,20 @@ pub trait CandidateSource: Send + Sync {
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>);
 }
 
-/// Maps a recommender's ranked output into candidates. `reason` is
-/// called once per user and returns that user's per-book reason, so
-/// per-user provenance (an anchor book) is computed once, not per
-/// candidate.
-fn emit_ranked<R: Fn(u32) -> Reason>(
+/// Maps a recommender's ranked output into candidates stamped `id`.
+fn emit_ranked(
     model: &dyn Recommender,
     id: SourceId,
     users: &[UserIdx],
     pool_size: usize,
     out: &mut Vec<Vec<Candidate>>,
-    reason: impl Fn(UserIdx) -> R,
 ) {
     let mut ranked: Vec<Vec<u32>> = Vec::new();
     model.recommend_batch_into(users, pool_size, &mut ranked);
     out.resize_with(users.len(), Vec::new);
-    for ((&u, books), slot) in users.iter().zip(&ranked).zip(out.iter_mut()) {
+    for (books, slot) in ranked.iter().zip(out.iter_mut()) {
         slot.clear();
-        if books.is_empty() {
-            continue;
-        }
-        let reason = reason(u);
-        slot.extend(books.iter().map(|&b| Candidate {
-            book: b,
-            source: id,
-            reason: reason(b),
-        }));
+        slot.extend(books.iter().map(|&book| Candidate { book, source: id }));
     }
 }
 
@@ -172,26 +129,22 @@ impl CandidateSource for CfNeighboursSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.bpr, self.id(), users, pool_size, out, |_| {
-            |_| Reason::CfNeighbours
-        });
+        emit_ranked(self.bpr, self.id(), users, pool_size, out);
     }
 }
 
-/// Content-similar source: Closest Items' top books, each anchored to
-/// the borrowed book most representative of the user's taste.
+/// Content-similar source: Closest Items' top books, the unseen books
+/// whose metadata is closest to the user's borrowing history.
 #[derive(Debug, Clone, Copy)]
 pub struct ContentSimilarSource<'a> {
     closest: &'a ClosestItems,
-    train: &'a Interactions,
 }
 
 impl<'a> ContentSimilarSource<'a> {
-    /// Wraps a fitted Closest Items model and the training matrix its
-    /// seen sets come from.
+    /// Wraps a fitted Closest Items model.
     #[must_use]
-    pub fn new(closest: &'a ClosestItems, train: &'a Interactions) -> Self {
-        Self { closest, train }
+    pub fn new(closest: &'a ClosestItems) -> Self {
+        Self { closest }
     }
 }
 
@@ -201,13 +154,7 @@ impl CandidateSource for ContentSimilarSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.closest, self.id(), users, pool_size, out, |u| {
-            let reason = match anchor_book(self.closest, self.train.seen(u)) {
-                Some(anchor) => Reason::SimilarToBorrowed { anchor },
-                None => Reason::Exploration,
-            };
-            move |_| reason
-        });
+        emit_ranked(self.closest, self.id(), users, pool_size, out);
     }
 }
 
@@ -243,9 +190,7 @@ impl CandidateSource for QuantCfNeighboursSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(&self.rec, self.id(), users, pool_size, out, |_| {
-            |_| Reason::CfNeighbours
-        });
+        emit_ranked(&self.rec, self.id(), users, pool_size, out);
     }
 }
 
@@ -335,10 +280,9 @@ impl CandidateSource for AnnCfNeighboursSource<'_> {
                     );
                 }
             }
-            slot.extend(ids.iter().map(|&b| Candidate {
-                book: b,
+            slot.extend(ids.iter().map(|&book| Candidate {
+                book,
                 source: SourceId::CfNeighbours,
-                reason: Reason::CfNeighbours,
             }));
         }
     }
@@ -347,7 +291,7 @@ impl CandidateSource for AnnCfNeighboursSource<'_> {
 /// IVF-accelerated content-similar source: the user's Eq. 1 centroid
 /// query retrieves through the cosine IVF index instead of the full
 /// catalogue matvec, re-scored with the same `dot` kernel. Emission
-/// semantics (empty history → nothing, anchored provenance) match
+/// semantics (empty history → nothing) match
 /// [`ContentSimilarSource`]; at `nprobe` = the index's list count the
 /// two are bit-identical.
 ///
@@ -434,46 +378,16 @@ impl CandidateSource for AnnContentSimilarSource<'_> {
                     );
                 }
             }
-            let reason = match anchor_book(self.closest, seen) {
-                Some(anchor) => Reason::SimilarToBorrowed { anchor },
-                None => Reason::Exploration,
-            };
-            slot.extend(ids.iter().map(|&b| Candidate {
-                book: b,
+            slot.extend(ids.iter().map(|&book| Candidate {
+                book,
                 source: SourceId::ContentSimilar,
-                reason,
             }));
         }
     }
 }
 
-/// The borrowed book most representative of the user's taste: the seen
-/// book whose embedding is most similar to the (normalised) centroid of
-/// everything they borrowed. Ties break toward the lower book index;
-/// `None` for an empty history.
-#[must_use]
-pub fn anchor_book(closest: &ClosestItems, seen: &[u32]) -> Option<u32> {
-    if seen.is_empty() {
-        return None;
-    }
-    let store = closest.store();
-    let centroid = store.centroid(seen);
-    let mut best: Option<(u32, f32)> = None;
-    for &b in seen {
-        let sim = vecops::dot(&centroid, store.embedding(b as usize));
-        let better = match best {
-            None => true,
-            Some((_, best_sim)) => sim > best_sim,
-        };
-        if better {
-            best = Some((b, sim));
-        }
-    }
-    best.map(|(b, _)| b)
-}
-
 /// Most-read source: the globally most-borrowed books the user has not
-/// read, with their read counts as provenance.
+/// read.
 #[derive(Debug, Clone, Copy)]
 pub struct MostReadSource<'a> {
     most_read: &'a MostReadItems,
@@ -493,16 +407,12 @@ impl CandidateSource for MostReadSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.most_read, self.id(), users, pool_size, out, |_| {
-            |b| Reason::MostRead {
-                count: self.most_read.count(BookIdx(b)),
-            }
-        });
+        emit_ranked(self.most_read, self.id(), users, pool_size, out);
     }
 }
 
 /// Per-book primary genre lookup, built once from a corpus and shared
-/// by the genre source and the genre-aware filters.
+/// by the genre-aware filters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BookGenres {
     primary: Vec<Option<u8>>,
@@ -552,79 +462,9 @@ impl BookGenres {
     }
 }
 
-/// Genre-preference source: unseen books of the user's dominant
-/// borrowed genre, in ascending book order. Model-free — it reads only
-/// the training matrix and the catalogue's genre profiles.
-#[derive(Debug, Clone, Copy)]
-pub struct GenrePreferenceSource<'a> {
-    genres: &'a BookGenres,
-    train: &'a Interactions,
-}
-
-impl<'a> GenrePreferenceSource<'a> {
-    /// Wraps the catalogue genre lookup and the training matrix.
-    #[must_use]
-    pub fn new(genres: &'a BookGenres, train: &'a Interactions) -> Self {
-        Self { genres, train }
-    }
-
-    /// The user's dominant genre: the most frequent primary genre among
-    /// their borrowed books, ties toward the lower genre id. `None` for
-    /// an empty history or one with no genre-labelled books.
-    #[must_use]
-    pub fn dominant_genre(&self, user: UserIdx) -> Option<u8> {
-        let mut counts = [0u32; 256];
-        for &b in self.train.seen(user) {
-            if let Some(g) = self.genres.primary(b) {
-                counts[usize::from(g)] += 1;
-            }
-        }
-        let (best, n) = counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
-        (*n > 0).then_some(best as u8)
-    }
-}
-
-impl CandidateSource for GenrePreferenceSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::GenrePreference
-    }
-
-    fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        out.resize_with(users.len(), Vec::new);
-        for (&u, slot) in users.iter().zip(out.iter_mut()) {
-            slot.clear();
-            let Some(genre) = self.dominant_genre(u) else {
-                continue;
-            };
-            let seen = self.train.seen(u);
-            let mut seen_iter = seen.iter().copied().peekable();
-            for b in 0..self.genres.len() as u32 {
-                if seen_iter.peek() == Some(&b) {
-                    seen_iter.next();
-                    continue;
-                }
-                if self.genres.primary(b) == Some(genre) {
-                    slot.push(Candidate {
-                        book: b,
-                        source: SourceId::GenrePreference,
-                        reason: Reason::GenrePreference { genre },
-                    });
-                    if slot.len() >= pool_size {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Wraps any [`Recommender`] as a provenance-neutral source — the
+/// Wraps any [`Recommender`] as the source of one serving slot — the
 /// terminal Random Items slot, or a test double. Candidates carry
-/// [`Reason::Exploration`]: a plain fallback has no model-specific
-/// story to tell.
+/// [`SourceId::Fallback`] of that slot.
 pub struct FallbackSource<'a> {
     slot: ModelSlot,
     model: &'a (dyn Recommender + Sync),
@@ -644,8 +484,6 @@ impl CandidateSource for FallbackSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.model, self.id(), users, pool_size, out, |_| {
-            |_| Reason::Exploration
-        });
+        emit_ranked(self.model, self.id(), users, pool_size, out);
     }
 }

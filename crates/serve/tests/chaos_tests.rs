@@ -103,17 +103,10 @@ impl Fixture {
     }
 
     fn save_with_faults(&self, plan: &FaultPlan) {
+        self.save();
         self.registry
-            .save_with_faults(
-                &self.manifest,
-                self.bpr.model().expect("fitted"),
-                &self.most_read,
-                self.closest.store(),
-                None,
-                None,
-                plan,
-            )
-            .expect("save artifacts with faults");
+            .corrupt_slots(plan)
+            .expect("corrupt marked artifacts");
     }
 
     fn user(&self) -> UserIdx {

@@ -488,6 +488,97 @@ fn fallback_tiers_carry_slot_provenance() {
     fx.cleanup();
 }
 
+/// Under a Closest Items primary the pipeline's answer is the union of
+/// the Closest Items and Most Read emissions, in book order, ranked by
+/// `ClosestItems::score` with ties toward the lower index — and each
+/// explanation carries the reason of the slot whose source proposed the
+/// book: the anchor book for content similarity, the read count for
+/// popularity. A history-less reader (Closest Items emits nothing for
+/// them, so every score is 0.0) is answered from the Most Read pool.
+#[test]
+fn closest_primary_pipeline_matches_reference_and_reasons() {
+    let fx = train_fixture("closest-primary");
+    let pairs: Vec<(UserIdx, BookIdx)> = (0..fx.train.n_users() as u32)
+        .flat_map(|u| {
+            fx.train
+                .seen(UserIdx(u))
+                .iter()
+                .map(move |&b| (UserIdx(u), BookIdx(b)))
+        })
+        .collect();
+    let train = Interactions::from_pairs(fx.train.n_users() + 1, fx.train.n_books(), &pairs);
+    let h = Harness::generate(11, Preset::Tiny);
+    let mut closest =
+        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
+    closest.fit(&train);
+    let mut most_read = MostReadItems::new();
+    most_read.fit(&train);
+    // BPR's factors are sized by the old user count; it is not a source.
+    std::fs::remove_file(fx.registry.path_of(rm_serve::registry::BPR_FILE)).unwrap();
+    let config = EngineConfig::builder()
+        .pipeline_sources(vec![ModelSlot::ClosestItems, ModelSlot::MostRead])
+        .build()
+        .expect("valid config");
+    let pool = config.pipeline.pool_size;
+    let engine = ServingEngine::load(&fx.registry, &train, config).expect("engine loads");
+    let k = 10;
+    let (mut by_closest, mut by_most_read) = (0, 0);
+    for u in 0..train.n_users() as u32 {
+        let user = UserIdx(u);
+        let mut union = closest.recommend(user, pool.max(k));
+        union.extend(most_read.recommend(user, pool.max(k)));
+        union.sort_unstable();
+        union.dedup();
+        let mut scored: Vec<(u32, f32)> = union
+            .iter()
+            .map(|&b| (b, closest.score(user, BookIdx(b))))
+            .collect();
+        // Stable: equal scores keep ascending book order.
+        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
+        let reference: Vec<u32> = scored.iter().take(k).map(|&(b, _)| b).collect();
+
+        let (top, explanations) = engine.recommend_explained(user, k);
+        assert_eq!(top, reference, "user {u}");
+        assert_eq!(
+            engine.recommend_batch(&[user], k),
+            vec![reference],
+            "user {u}"
+        );
+        assert_eq!(top.len(), explanations.len(), "user {u}");
+        let seen = train.seen(user);
+        for (b, ex) in top.iter().zip(&explanations) {
+            assert_eq!(ex.book, *b, "user {u}");
+            match ex.source {
+                SourceId::ContentSimilar => {
+                    let anchor = rm_serve::pipeline::anchor_book(&closest, seen);
+                    assert_eq!(
+                        ex.reason,
+                        Reason::SimilarToBorrowed {
+                            anchor: anchor.expect("history")
+                        },
+                        "user {u} book {b}"
+                    );
+                    by_closest += 1;
+                }
+                SourceId::MostRead => {
+                    assert_eq!(
+                        ex.reason,
+                        Reason::MostRead {
+                            count: most_read.count(BookIdx(*b))
+                        },
+                        "user {u} book {b}"
+                    );
+                    by_most_read += 1;
+                }
+                other => panic!("user {u} book {b}: unexpected source {other:?}"),
+            }
+        }
+    }
+    assert!(by_closest > 0, "content similarity explained some books");
+    assert!(by_most_read > 0, "popularity explained some books");
+    fx.cleanup();
+}
+
 #[cfg(feature = "testing")]
 mod chaos {
     use super::*;

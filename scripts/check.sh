@@ -13,6 +13,11 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy (rm-serve with fault injection compiled in, -D warnings)"
+# The `testing` feature compiles the fault harness and the chaos tests,
+# which the workspace pass above never sees.
+cargo clippy -p rm-serve --features testing --all-targets -- -D warnings
+
 echo "==> rm-lint (token rules + call-graph reachability, structured allowlist)"
 # Replaces the old grep gates: dot products outside rm_sparse::vecops,
 # Instant::now() outside the Clock abstraction, unwrap/expect on
