@@ -53,7 +53,7 @@ use crate::overload::{
     DegradationLevel, LevelTransition, OverloadConfig, OverloadGovernor, ShedReason,
 };
 use crate::pipeline::{
-    anchor_book, merge_into, rank_pool_into, AnnCfNeighboursSource, AnnContentSimilarSource,
+    anchor_book, merge::MergeTable, rank_pool_into, AnnCfNeighboursSource, AnnContentSimilarSource,
     BookGenres, Candidate, CandidateFilter, CandidateSource, CfNeighboursSource,
     ContentSimilarSource, Explanation, FallbackSource, FilterCtx, MostReadSource, PipelineConfig,
     QuantCfNeighboursSource, Reason, SourceId,
@@ -71,6 +71,7 @@ use rm_sparse::vecops;
 use rm_util::clock::{Backoff, Clock, Deadline, MonotonicClock};
 use rm_util::trace::Tracer;
 use rm_util::{RecError, TopK};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -1501,17 +1502,19 @@ impl ServingEngine {
         // The brownout level prunes the configured pipeline
         // (DESIGN.md §16): CF neighbours and content similarity are the
         // expensive stages, the most-read list is the cheap floor.
-        let cheap_or = |slots: &[ModelSlot], floor: &[ModelSlot]| {
+        // Only the degraded rungs build a slot list; `Full` borrows the
+        // configured ones.
+        let cheap_or = |slots: &[ModelSlot], floor: &[ModelSlot]| -> Cow<'static, [ModelSlot]> {
             let cheap: Vec<ModelSlot> = slots
                 .iter()
                 .copied()
                 .filter(|s| !matches!(s, ModelSlot::Bpr | ModelSlot::ClosestItems))
                 .collect();
-            if cheap.is_empty() {
+            Cow::Owned(if cheap.is_empty() {
                 floor.to_vec()
             } else {
                 cheap
-            }
+            })
         };
         let head = self.config.chain.first().copied();
         let base_sources: &[ModelSlot] = match &self.config.pipeline.sources {
@@ -1521,7 +1524,7 @@ impl ServingEngine {
             None => head.as_slice(),
         };
         let source_slots = match level {
-            DegradationLevel::Full => base_sources.to_vec(),
+            DegradationLevel::Full => Cow::Borrowed(base_sources),
             // When every configured source is expensive, the popularity
             // source substitutes so the pipeline still runs.
             DegradationLevel::DropExpensiveSources | DegradationLevel::SkipFilters => {
@@ -1529,7 +1532,9 @@ impl ServingEngine {
             }
             // The deepest levels bypass the pipeline entirely; the
             // fallback tiers below answer everything.
-            DegradationLevel::LegacyFallback | DegradationLevel::MostReadOnly => Vec::new(),
+            DegradationLevel::LegacyFallback | DegradationLevel::MostReadOnly => {
+                Cow::Borrowed(&[][..])
+            }
         };
         let apply_filters = matches!(
             level,
@@ -1537,18 +1542,18 @@ impl ServingEngine {
         );
         // The terminal random fallback stays behind most-read as
         // never-empty insurance (degrade, don't go dark).
-        let most_read_floor = [ModelSlot::MostRead, ModelSlot::Random];
+        let most_read_floor: &'static [ModelSlot] = &[ModelSlot::MostRead, ModelSlot::Random];
         let fallback_chain = match level {
-            DegradationLevel::LegacyFallback => cheap_or(&self.config.chain, &most_read_floor),
-            DegradationLevel::MostReadOnly => most_read_floor.to_vec(),
-            _ => self.config.chain.clone(),
+            DegradationLevel::LegacyFallback => cheap_or(&self.config.chain, most_read_floor),
+            DegradationLevel::MostReadOnly => Cow::Borrowed(most_read_floor),
+            _ => Cow::Borrowed(self.config.chain.as_slice()),
         };
         let pool_size = self.config.pipeline.pool_size.max(k);
         let mut emitted: Vec<(ModelSlot, Vec<Vec<Candidate>>)> = Vec::new();
         let mut deadline_hit = false;
         if !remaining.is_empty() && !source_slots.is_empty() {
             let chunk_users: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
-            for &slot in &source_slots {
+            for &slot in source_slots.iter() {
                 let source = self.slot_source(slot);
                 match self.guarded_emit(
                     slot,
@@ -1591,12 +1596,13 @@ impl ServingEngine {
                 .filter(|_| primary == ModelSlot::ClosestItems);
             let mut query: Vec<f32> = Vec::new();
             let genres = self.config.pipeline.book_genres.as_deref();
+            let mut table = MergeTable::default();
             let mut pool: Vec<Candidate> = Vec::new();
             let mut top = TopK::new(1);
             let mut ranked: Vec<u32> = Vec::new();
             let mut still_empty = Vec::new();
             for (j, &i) in remaining.iter().enumerate() {
-                merge_into(
+                table.merge_into(
                     emitted.iter().map(|(_, per_user)| per_user[j].as_slice()),
                     &mut pool,
                 );
@@ -1646,14 +1652,17 @@ impl ServingEngine {
                     continue;
                 }
                 // Attribute the serve to the slot whose source proposed
-                // the winning (top-ranked) book.
-                let winner = pool.iter().find(|c| c.book == ranked[0]);
-                let slot = winner.map_or(primary, |c| c.source.slot());
+                // the winning (top-ranked) book. The merge sorted the
+                // pool by book and the filters kept that order.
+                let find = |b: u32| {
+                    pool.binary_search_by_key(&b, |c| c.book)
+                        .ok()
+                        .map(|at| pool[at])
+                };
+                let slot = find(ranked[0]).map_or(primary, |c| c.source.slot());
                 stats.served[slot.index()] += 1;
                 if let Some(ex) = explain.as_deref_mut() {
-                    let answered = ranked
-                        .iter()
-                        .filter_map(|&b| pool.iter().find(|c| c.book == b).copied());
+                    let answered = ranked.iter().filter_map(|&b| find(b));
                     ex[i] = self.explanations(user, answered);
                 }
                 out[i] = Some(std::mem::take(&mut ranked));
@@ -1666,7 +1675,7 @@ impl ServingEngine {
         // the slots that already ran as sources (every slot gets at most
         // one call per chunk).
         if !deadline_hit {
-            for &slot in &fallback_chain {
+            for &slot in fallback_chain.iter() {
                 if remaining.is_empty() {
                     break;
                 }

@@ -47,7 +47,16 @@ impl CandidateFilter for AlreadyBorrowedFilter {
     }
 
     fn retain(&self, ctx: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
-        pool.retain(|c| ctx.seen.binary_search(&c.book).is_err());
+        // Pool and seen list both ascend, so one cursor into `seen`
+        // advances alongside the pool walk.
+        let seen = ctx.seen;
+        let mut at = 0;
+        pool.retain(|c| {
+            while seen.get(at).is_some_and(|&s| s < c.book) {
+                at += 1;
+            }
+            seen.get(at) != Some(&c.book)
+        });
     }
 }
 
@@ -156,6 +165,23 @@ mod tests {
         AlreadyBorrowedFilter.retain(&ctx(&[0, 2], None), &mut pool);
         let books: Vec<u32> = pool.iter().map(|c| c.book).collect();
         assert_eq!(books, vec![1, 3]);
+    }
+
+    #[test]
+    fn already_borrowed_walks_seen_alongside_the_pool() {
+        let books = |pool: &[Candidate]| pool.iter().map(|c| c.book).collect::<Vec<u32>>();
+        let fresh = || vec![cand(3), cand(5), cand(8), cand(9), cand(14)];
+        // Seen books before the first, between, on, and after the last
+        // pool book.
+        let mut pool = fresh();
+        AlreadyBorrowedFilter.retain(&ctx(&[0, 1, 4, 5, 6, 7, 9, 20, 30], None), &mut pool);
+        assert_eq!(books(&pool), vec![3, 8, 14]);
+        let mut pool = fresh();
+        AlreadyBorrowedFilter.retain(&ctx(&[3, 14], None), &mut pool);
+        assert_eq!(books(&pool), vec![5, 8, 9]);
+        let mut pool = fresh();
+        AlreadyBorrowedFilter.retain(&ctx(&[], None), &mut pool);
+        assert_eq!(books(&pool), books(&fresh()));
     }
 
     #[test]
